@@ -8,8 +8,12 @@
 //! compared twice: once on virgin slots, and again on a second lap
 //! through the same (deliberately small) engine so every slot has been
 //! recycled — reset-in-place provisioning must not leak any state from
-//! the first lap.
+//! the first lap. A fault-campaign grid does the same for the
+//! corruption branch: scrambles, desyncs and forged messages.
 
+use std::collections::HashSet;
+use stp_core::data::DataSeq;
+use stp_core::event::{CorruptionKind, Event};
 use stp_protocols::ResendPolicy;
 use stp_sim::prelude::*;
 
@@ -139,4 +143,80 @@ fn sharded_server_matches_sweep_engine() {
         }
     }
     assert_eq!(server.drain_completed().len(), specs.len());
+}
+
+// A fault campaign striking every corruption hook the step kernel has:
+// state scrambles and counter desyncs on both processors, and forged
+// messages onto both directions of the channel.
+fn corruption_campaign() -> SchedulerSpec {
+    let clause = |action, period, offset, max_firings| FaultClause {
+        action,
+        trigger: Trigger::EveryK { period, offset },
+        direction: Direction::Both,
+        duration: 1,
+        max_firings,
+    };
+    SchedulerSpec::Campaign {
+        inner: Box::new(SchedulerSpec::DupStorm { p_deliver: 0.9 }),
+        plan: FaultPlan::new(11)
+            .with(clause(FaultAction::StateScramble, 13, 3, 4))
+            .with(clause(FaultAction::CounterDesync, 17, 5, 4))
+            .with(clause(FaultAction::InjectNoise, 7, 2, 6)),
+    }
+}
+
+#[test]
+fn session_store_matches_sweep_engine_under_corruption_campaigns() {
+    // The campaign must actually land strikes of every kind, or the
+    // parity below would not cover the corruption branch.
+    let (_, stabilizing) = families().remove(2);
+    let input = DataSeq::from_indices([1, 0, 1]);
+    let family = stabilizing.build();
+    let mut world = World::builder(input.clone())
+        .sender(family.sender_for(&input))
+        .receiver(family.receiver())
+        .channel(ChannelSpec::Dup.build())
+        .scheduler(corruption_campaign().build(0))
+        .build()
+        .expect("all components supplied");
+    world.run(MAX_STEPS);
+    let kinds: HashSet<CorruptionKind> = world
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::Corruption { kind, .. } => Some(kind),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kinds.len(), 6, "strikes landed: {kinds:?}");
+
+    for (fname, family) in families() {
+        for (cname, channel) in [("dup", ChannelSpec::Dup), ("del", ChannelSpec::Del)] {
+            let sweep = SweepSpec::new(channel, corruption_campaign())
+                .max_steps(MAX_STEPS)
+                .seeds(0..SEEDS)
+                .trace_mode(TraceMode::Off)
+                .threads(1);
+            let outcome = SweepEngine::new(sweep.clone()).run_serial(&*family.build());
+            let specs = sweep.session_specs(&family);
+            assert_eq!(outcome.runs.len(), specs.len());
+
+            let mut engine = SessionEngine::new(0, 8, 16);
+            let first = engine_lap(&mut engine, &specs);
+            assert!(engine.slots_recycled() > 0);
+            for (i, (got, run)) in first.iter().zip(&outcome.runs).enumerate() {
+                assert_eq!(
+                    got, &run.stats,
+                    "{fname}/{cname}: lap 1 cell {i} (seed {}, input {:?})",
+                    run.seed, run.input
+                );
+            }
+            let second = engine_lap(&mut engine, &specs);
+            assert_eq!(
+                first, second,
+                "{fname}/{cname}: recycled slots replay identically"
+            );
+        }
+    }
 }
