@@ -6,12 +6,18 @@
 //!
 //! 1. the scheduler inspects the channel and decides deletions and at most
 //!    one delivery per processor (the paper's §2.2 model);
-//! 2. deletions are applied (recorded as `ChannelDrop`);
+//! 2. deletions are applied (recorded as `ChannelDrop`), then any
+//!    corruption strikes of a fault campaign;
 //! 3. each processor handles its event — `Init` at step 0, `Deliver(m)` if
 //!    a message arrived, `Tick` otherwise — and its outputs (sends, tape
 //!    writes) are applied *after* the deliveries, so nothing is delivered
 //!    in the step it was sent;
 //! 4. the channel's clock advances (timed channels expire messages here).
+//!
+//! That step is written once, in a private kernel module, and both
+//! executors call it: [`World`] for single runs and sweeps, and the
+//! [`SessionEngine`] of the sharded session store, which steps many
+//! sessions with event recording compiled out.
 //!
 //! Everything is deterministic given the scheduler's seed, so runs are
 //! replayable; the verifier leans on this to re-execute adversarial
@@ -34,6 +40,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod fleet;
+mod kernel;
 pub mod metrics;
 pub mod prelude;
 pub mod prof;
@@ -44,7 +51,6 @@ pub mod shrink;
 pub mod slo;
 pub mod steal;
 pub mod telemetry;
-pub mod threaded;
 pub mod trace;
 pub mod world;
 
@@ -62,10 +68,7 @@ pub use prof::{
     ProfPhase, ProfRecord,
 };
 pub use replay::{replay, script_from_trace, scripted_world};
-pub use runner::{
-    run_family_member, sweep_family, sweep_family_parallel, sweep_family_parallel_observed,
-    MemberRun, SweepOutcome,
-};
+pub use runner::{run_family_member, sweep_family, MemberRun, SweepOutcome};
 pub use sessions::{
     run_churn, run_churn_fleet, run_churn_fleet_isolated, run_churn_isolated, ChurnReport,
     ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId, SessionOutcome, SessionServer,

@@ -18,10 +18,7 @@ pub use crate::fleet::{
     FleetStats, FleetWatch, ShardMetrics, ShardSnapshot, StallRecord, WatchdogSpec, NO_SAMPLES,
 };
 pub use crate::metrics::{Histogram, MetricsProbe, RunStats, SweepReport};
-pub use crate::runner::{
-    run_family_member, sweep_family, sweep_family_parallel, sweep_family_parallel_observed,
-    MemberRun, SweepOutcome,
-};
+pub use crate::runner::{run_family_member, sweep_family, MemberRun, SweepOutcome};
 pub use crate::sessions::{
     run_churn, run_churn_fleet, run_churn_fleet_isolated, run_churn_isolated, ChurnReport,
     ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId, SessionOutcome, SessionServer,

@@ -6,13 +6,13 @@
 //!
 //! # Design
 //!
-//! The hot path (`World::step`, `SessionEngine::step_slot_once`) runs in
-//! ~tens of nanoseconds; a [`std::time::Instant`] read costs about half
-//! that, so timing every phase of every step would multiply the cost of
-//! the thing being measured. The profiler therefore *samples*: every
-//! [`period`](PhaseProfiler::period)-th unit of work (a slot quantum in
-//! the session engine, a whole run in the sweep engine) becomes a
-//! **window**. Inside a window a `ProfObs` takes one timestamp per
+//! The hot path (the step kernel behind `World::step` and the session
+//! store) runs in ~tens of nanoseconds; a [`std::time::Instant`] read
+//! costs about half that, so timing every phase of every step would
+//! multiply the cost of the thing being measured. The profiler
+//! therefore *samples*: every [`period`](PhaseProfiler::period)-th unit
+//! of work (a slot quantum in the session engine, a whole run in the
+//! sweep engine) becomes a **window**. Inside a window a `ProfObs` takes one timestamp per
 //! phase *boundary* — consecutive marks, so `N` phases cost `N + 1`
 //! clock reads, not `2N` — and accumulates per-phase nanoseconds in
 //! plain thread-local arrays. When the window closes, the tallies are
@@ -43,8 +43,8 @@ use stp_channel::ChannelSpec;
 
 /// An engine phase the profiler can charge time (and allocations) to.
 ///
-/// The taxonomy follows the step structure shared by
-/// [`World::step`](crate::world::World::step) and `SessionEngine::step_slot_once`:
+/// The taxonomy follows the structure of the one step kernel that
+/// [`World::step`](crate::world::World::step) and the session store share:
 /// scheduler decision, channel work split by kind and by direction of
 /// cost (delivery vs expiry), the two protocol half-steps, then the
 /// engine-side phases that only some drivers have (probe dispatch,

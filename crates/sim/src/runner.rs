@@ -4,12 +4,11 @@
 //! The sweeps here are thin fronts over the pooled
 //! [`SweepEngine`]: describe the grid with a
 //! [`SweepSpec`], then call [`sweep_family`]
-//! (serial) or [`sweep_family_parallel`] (worker pool). Both produce the
+//! (serial) or [`SweepEngine::run`] (worker pool). Both produce the
 //! same [`SweepOutcome`] in the same order.
 
 use crate::engine::{SweepEngine, SweepSpec};
 use crate::metrics::{RunStats, SweepReport};
-use crate::telemetry::ProgressMeter;
 use crate::world::World;
 use stp_channel::{Channel, Scheduler};
 use stp_core::data::DataSeq;
@@ -124,28 +123,6 @@ pub fn sweep_family(family: &dyn ProtocolFamily, spec: &SweepSpec) -> SweepOutco
     SweepEngine::new(spec.clone()).run_serial(family)
 }
 
-/// The multi-threaded variant of [`sweep_family`]: the same grid, fanned
-/// out over the spec's worker pool. Results are identical to the serial
-/// sweep (each run is independent and seeded) and arrive in the same
-/// order.
-pub fn sweep_family_parallel(
-    family: &(dyn ProtocolFamily + Sync),
-    spec: &SweepSpec,
-) -> SweepOutcome {
-    SweepEngine::new(spec.clone()).run(family)
-}
-
-/// [`sweep_family_parallel`] with live progress: the meter is armed for
-/// the grid size, fed one tick per finished run by every worker, and
-/// flushed with a final report when the merge completes.
-pub fn sweep_family_parallel_observed(
-    family: &(dyn ProtocolFamily + Sync),
-    spec: &SweepSpec,
-    meter: &ProgressMeter,
-) -> SweepOutcome {
-    SweepEngine::new(spec.clone()).run_observed(family, Some(meter))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +187,7 @@ mod tests {
             .seeds([0, 1])
             .threads(4);
         let serial = sweep_family(&family, &spec);
-        let parallel = sweep_family_parallel(&family, &spec);
+        let parallel = SweepEngine::new(spec).run(&family);
         assert_eq!(serial.len(), parallel.len());
         assert!(parallel.all_complete());
         assert_eq!(serial.runs, parallel.runs);

@@ -9,9 +9,10 @@
 //! queues and per-session adversary RNG — the same columnar layout
 //! [`crate::trace`] uses for spans — and steps every active session a
 //! quantum of protocol steps per *round* in one tight, allocation-free
-//! loop. The loop is the [`TraceMode::Off`](stp_core::event::TraceMode)
-//! semantics of [`World::step`](crate::World::step) with every
-//! event-construction and probe branch deleted outright, so a session's
+//! loop. Each step is the kernel step that
+//! [`World::step`](crate::World::step) runs too, with an event sink whose
+//! flags are constant `false`, so every event, probe and provenance
+//! branch compiles away and a session's
 //! [`RunStats`] are bit-identical to a pooled single-world run of the
 //! same [`SessionSpec`] (the `sessions_parity` suite proves this over the
 //! full seed × channel × family grid).
@@ -37,6 +38,7 @@ use crate::fleet::{
     healthy_step_bound, FleetRegistry, FleetSnapshot, FleetWatch, ShardMetrics, StallRecord,
     WatchdogSpec,
 };
+use crate::kernel::{self, NoEvents, Parts, Scratch};
 use crate::metrics::{Histogram, RunStats};
 use crate::prof::{delivery_phase, expiry_phase, NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
 use crate::telemetry::{ProgressMeter, SessionsRecord};
@@ -51,10 +53,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stp_channel::{Channel, ChannelSpec, Scheduler, SchedulerSpec};
-use stp_core::alphabet::{RMsg, SMsg};
 use stp_core::data::DataSeq;
-use stp_core::event::{CorruptionKind, Step, TraceMode};
-use stp_core::proto::{Receiver, ReceiverEvent, Sender, SenderEvent};
+use stp_core::event::{Step, TraceMode};
+use stp_core::proto::{Receiver, Sender};
 use stp_protocols::FamilySpec;
 
 /// Everything needed to run one STP session: the protocol family, the
@@ -305,15 +306,7 @@ pub struct SessionEngine {
     slot_recipe: Vec<u32>,
     inputs: Vec<DataSeq>,
     serials: Vec<u64>,
-    steps: Vec<Step>,
-    written: Vec<usize>,
-    safe: Vec<bool>,
-    sends_s: Vec<usize>,
-    sends_r: Vec<usize>,
-    deliveries_r: Vec<usize>,
-    deliveries_s: Vec<usize>,
-    drops: Vec<usize>,
-    write_steps: Vec<Vec<Step>>,
+    counters: Vec<RunStats>,
     deadline: Vec<Step>,
     expires: Vec<u64>,
     submitted: Vec<u64>,
@@ -332,9 +325,8 @@ pub struct SessionEngine {
     completed: Vec<SessionOutcome>,
     next_serial: u64,
     recycled: u64,
-    // Shared expiry scratch, reused across every slot in the shard.
-    scratch_r: Vec<SMsg>,
-    scratch_s: Vec<RMsg>,
+    // Step scratch, reused across every slot in the shard.
+    scratch: Scratch,
     // Fleet observability: both default off and cost nothing until
     // attached/armed.
     metrics: Option<Arc<ShardMetrics>>,
@@ -342,7 +334,7 @@ pub struct SessionEngine {
     stalls: Vec<StallRecord>,
     // Phase profiler: off by default; when attached, every
     // `prof.period()`-th slot quantum becomes a profiled window. The
-    // unprofiled path is untouched (see `step_slot_once`).
+    // unprofiled path is untouched (see `run_quantum`).
     prof: Option<Arc<PhaseProfiler>>,
     prof_tick: u64,
 }
@@ -386,15 +378,7 @@ impl SessionEngine {
             slot_recipe: vec![NO_RECIPE; capacity],
             inputs: vec![DataSeq::from_indices([]); capacity],
             serials: vec![0; capacity],
-            steps: vec![0; capacity],
-            written: vec![0; capacity],
-            safe: vec![true; capacity],
-            sends_s: vec![0; capacity],
-            sends_r: vec![0; capacity],
-            deliveries_r: vec![0; capacity],
-            deliveries_s: vec![0; capacity],
-            drops: vec![0; capacity],
-            write_steps: vec![Vec::new(); capacity],
+            counters: vec![kernel::counters(0); capacity],
             deadline: vec![0; capacity],
             expires: vec![u64::MAX; capacity],
             submitted: vec![0; capacity],
@@ -408,8 +392,7 @@ impl SessionEngine {
             completed: Vec::new(),
             next_serial: 0,
             recycled: 0,
-            scratch_r: Vec::new(),
-            scratch_s: Vec::new(),
+            scratch: Scratch::default(),
             metrics: None,
             watchdog: None,
             stalls: Vec::new(),
@@ -525,7 +508,7 @@ impl SessionEngine {
             None => SessionStatus::Unknown,
             Some(SlotState::Queued { .. }) => SessionStatus::Queued,
             Some(&SlotState::Running { slot }) => SessionStatus::Running {
-                steps: self.steps[slot as usize],
+                steps: self.counters[slot as usize].steps,
             },
             Some(&SlotState::Done { at }) => SessionStatus::Done {
                 outcome: Box::new(self.completed[at].clone()),
@@ -558,18 +541,7 @@ impl SessionEngine {
                 let outcome = SessionOutcome {
                     id: SessionId::new(self.shard, serial),
                     fate: SessionFate::Disconnected,
-                    stats: RunStats {
-                        steps: 0,
-                        sends_s: 0,
-                        sends_r: 0,
-                        deliveries_r: 0,
-                        deliveries_s: 0,
-                        drops: 0,
-                        written: 0,
-                        input_len: q.input.len(),
-                        safe: true,
-                        write_steps: Vec::new(),
-                    },
+                    stats: kernel::counters(q.input.len()),
                     submitted_round: submitted,
                     retired_round: self.round,
                 };
@@ -636,7 +608,7 @@ impl SessionEngine {
             if self.round >= self.stall_at[slot] {
                 self.flag_stall(slot);
             }
-            let before = self.steps[slot];
+            let before = self.counters[slot].steps;
             let (fate, sampled) = match prof {
                 Some(p) => {
                     self.prof_tick += 1;
@@ -648,7 +620,7 @@ impl SessionEngine {
                 }
                 None => (self.step_slot(slot), false),
             };
-            round_steps += self.steps[slot] - before;
+            round_steps += self.counters[slot].steps - before;
             match fate {
                 Some(fate) => match prof {
                     // Retirement cost is only visible for the sampled
@@ -806,17 +778,9 @@ impl SessionEngine {
             )),
             None => u64::MAX,
         };
+        kernel::reset(&mut self.counters[slot], input.len());
         self.inputs[slot] = input;
         self.serials[slot] = serial;
-        self.steps[slot] = 0;
-        self.written[slot] = 0;
-        self.safe[slot] = true;
-        self.sends_s[slot] = 0;
-        self.sends_r[slot] = 0;
-        self.deliveries_r[slot] = 0;
-        self.deliveries_s[slot] = 0;
-        self.drops[slot] = 0;
-        self.write_steps[slot].clear();
         self.deadline[slot] = max_steps;
         self.expires[slot] = ttl_rounds.map_or(u64::MAX, |ttl| self.round.saturating_add(ttl));
         self.submitted[slot] = submitted;
@@ -841,18 +805,7 @@ impl SessionEngine {
         let outcome = SessionOutcome {
             id: SessionId::new(self.shard, serial),
             fate,
-            stats: RunStats {
-                steps: self.steps[slot],
-                sends_s: self.sends_s[slot],
-                sends_r: self.sends_r[slot],
-                deliveries_r: self.deliveries_r[slot],
-                deliveries_s: self.deliveries_s[slot],
-                drops: self.drops[slot],
-                written: self.written[slot],
-                input_len: self.inputs[slot].len(),
-                safe: self.safe[slot],
-                write_steps: self.write_steps[slot].clone(),
-            },
+            stats: self.counters[slot].clone(),
             submitted_round: self.submitted[slot],
             retired_round: self.round,
         };
@@ -900,7 +853,7 @@ impl SessionEngine {
             age_rounds: self.round.saturating_sub(self.admitted_round[slot]),
             threshold_rounds: threshold,
             expected_steps: expected,
-            steps: self.steps[slot],
+            steps: self.counters[slot].steps,
             spec,
         });
         if let Some(m) = &self.metrics {
@@ -911,194 +864,79 @@ impl SessionEngine {
     // Same stopping rule as `World::run_until(max_steps, is_complete)`:
     // completion is checked before each step, the budget caps the count.
     fn slot_fate(&self, slot: usize) -> Option<SessionFate> {
-        let sender = self.senders[slot].as_ref().expect("active slot has sender");
-        if sender.is_done() && self.written[slot] >= self.inputs[slot].len() {
+        let sender = self.senders[slot]
+            .as_deref()
+            .expect("active slot has sender");
+        if kernel::is_complete(sender, &self.counters[slot]) {
             return Some(SessionFate::Completed);
         }
-        if self.steps[slot] >= self.deadline[slot] {
+        if self.counters[slot].steps >= self.deadline[slot] {
             return Some(SessionFate::Exhausted);
         }
         None
     }
 
     fn step_slot(&mut self, slot: usize) -> Option<SessionFate> {
-        for _ in 0..self.quantum {
-            if let Some(fate) = self.slot_fate(slot) {
-                return Some(fate);
-            }
-            self.step_slot_once(slot);
-        }
-        self.slot_fate(slot)
+        // Phases are irrelevant under `NoObs` (marks compile away), so
+        // the unprofiled hot path carries no profiling cost.
+        self.run_quantum(
+            slot,
+            &mut NoObs,
+            Phase::DeliverPerfect,
+            Phase::ExpirePerfect,
+        )
     }
 
     // `step_slot` as one profiled window: the same quantum loop, with
-    // each protocol step marking phase boundaries into `obs`. Stopping
-    // rule and stepping are byte-for-byte the unprofiled logic — the
-    // prof_parity suite holds the digests equal.
+    // each protocol step marking phase boundaries into `obs`.
     fn step_slot_profiled(&mut self, slot: usize, prof: &PhaseProfiler) -> Option<SessionFate> {
         let recipe = &self.recipes[self.slot_recipe[slot] as usize];
         let deliver = delivery_phase(&recipe.channel);
         let expire = expiry_phase(&recipe.channel);
         let mut obs = ProfObs::begin();
-        let fate = 'quantum: {
-            for _ in 0..self.quantum {
-                if let Some(fate) = self.slot_fate(slot) {
-                    break 'quantum Some(fate);
-                }
-                self.step_slot_once_impl(slot, &mut obs, deliver, expire);
-            }
-            self.slot_fate(slot)
-        };
+        let fate = self.run_quantum(slot, &mut obs, deliver, expire);
         obs.finish(prof);
         fate
     }
 
-    // One protocol step — `World::step` under `TraceMode::Off` with the
-    // event construction, probe fan-out and provenance branches removed.
-    // Any behavioural divergence from the world loop is a bug the parity
-    // suite exists to catch.
-    fn step_slot_once(&mut self, slot: usize) {
-        // Phases are irrelevant under `NoObs` (marks compile away), so
-        // the unprofiled hot path is unchanged.
-        self.step_slot_once_impl(
-            slot,
-            &mut NoObs,
-            Phase::DeliverPerfect,
-            Phase::ExpirePerfect,
-        );
-    }
-
-    fn step_slot_once_impl<O: StepObs>(
+    // Steps the session in `slot` up to one quantum, stopping early at
+    // completion or exhaustion.
+    fn run_quantum<O: StepObs>(
         &mut self,
         slot: usize,
         obs: &mut O,
         deliver: Phase,
         expire: Phase,
-    ) {
-        obs.mark(Phase::SchedulerDecide);
-        let t = self.steps[slot];
-        let sender = self.senders[slot].as_mut().expect("active slot has sender");
-        let receiver = self.receivers[slot]
-            .as_mut()
-            .expect("active slot has receiver");
-        let channel = self.channels[slot]
-            .as_mut()
-            .expect("active slot has channel");
-        let scheduler = self.schedulers[slot]
-            .as_mut()
-            .expect("active slot has scheduler");
-
-        scheduler.note_progress(t, self.written[slot]);
-        let decision = scheduler.decide(t, &**channel);
-
-        // Adversarial deletions first (they model in-transit loss).
-        obs.mark(deliver);
-        for i in 0..decision.delete_to_r.len() {
-            if channel.delete_to_r(decision.delete_to_r[i]).is_ok() {
-                self.drops[slot] += 1;
+    ) -> Option<SessionFate> {
+        for _ in 0..self.quantum {
+            if let Some(fate) = self.slot_fate(slot) {
+                return Some(fate);
             }
+            kernel::step(
+                Parts {
+                    sender: self.senders[slot]
+                        .as_deref_mut()
+                        .expect("active slot has sender"),
+                    receiver: self.receivers[slot]
+                        .as_deref_mut()
+                        .expect("active slot has receiver"),
+                    channel: self.channels[slot]
+                        .as_deref_mut()
+                        .expect("active slot has channel"),
+                    scheduler: self.schedulers[slot]
+                        .as_deref_mut()
+                        .expect("active slot has scheduler"),
+                },
+                &mut self.counters[slot],
+                &self.inputs[slot],
+                &mut self.scratch,
+                obs,
+                &mut NoEvents,
+                deliver,
+                expire,
+            );
         }
-        for i in 0..decision.delete_to_s.len() {
-            if channel.delete_to_s(decision.delete_to_s[i]).is_ok() {
-                self.drops[slot] += 1;
-            }
-        }
-
-        // Transient corruption strikes land between loss and delivery.
-        for cmd in &decision.corruptions {
-            match cmd.kind {
-                CorruptionKind::ScrambleSender => {
-                    sender.scramble(cmd.draw);
-                }
-                CorruptionKind::ScrambleReceiver => {
-                    receiver.scramble(cmd.draw);
-                }
-                CorruptionKind::DesyncSender => {
-                    sender.desync(cmd.draw);
-                }
-                CorruptionKind::DesyncReceiver => {
-                    receiver.desync(cmd.draw);
-                }
-                CorruptionKind::InjectToR => {
-                    let size = sender.alphabet().size();
-                    if size != 0 {
-                        channel.send_s(SMsg((cmd.draw % u64::from(size)) as u16));
-                    }
-                }
-                CorruptionKind::InjectToS => {
-                    let size = receiver.alphabet().size();
-                    if size != 0 {
-                        channel.send_r(RMsg((cmd.draw % u64::from(size)) as u16));
-                    }
-                }
-            }
-        }
-
-        // Deliveries (against the post-deletion state; infeasible choices
-        // are ignored).
-        let delivered_to_s = decision
-            .deliver_to_s
-            .filter(|m| channel.deliver_to_s(*m).is_ok());
-        if delivered_to_s.is_some() {
-            self.deliveries_s[slot] += 1;
-        }
-        let delivered_to_r = decision
-            .deliver_to_r
-            .filter(|m| channel.deliver_to_r(*m).is_ok());
-        if delivered_to_r.is_some() {
-            self.deliveries_r[slot] += 1;
-        }
-
-        // Processor steps.
-        obs.mark(Phase::SenderStep);
-        let s_event = if t == 0 {
-            SenderEvent::Init
-        } else {
-            match delivered_to_s {
-                Some(m) => SenderEvent::Deliver(m),
-                None => SenderEvent::Tick,
-            }
-        };
-        let r_event = if t == 0 {
-            ReceiverEvent::Init
-        } else {
-            match delivered_to_r {
-                Some(m) => ReceiverEvent::Deliver(m),
-                None => ReceiverEvent::Tick,
-            }
-        };
-        let s_out = sender.on_event(s_event);
-        obs.mark(Phase::ReceiverStep);
-        let r_out = receiver.on_event(r_event);
-
-        // Apply outputs after deliveries: sends become deliverable next
-        // step at the earliest.
-        for item in r_out.write {
-            self.safe[slot] &= self.inputs[slot].get(self.written[slot]) == Some(item);
-            self.write_steps[slot].push(t);
-            self.written[slot] += 1;
-        }
-        obs.mark(deliver);
-        for m in s_out.send {
-            channel.send_s(m);
-            self.sends_s[slot] += 1;
-        }
-        for m in r_out.send {
-            channel.send_r(m);
-            self.sends_r[slot] += 1;
-        }
-
-        // Channel clock, then the expiry drain: channel-destroyed copies
-        // count as drops exactly like adversarial loss.
-        obs.mark(expire);
-        channel.tick();
-        channel.take_expirations(&mut self.scratch_r, &mut self.scratch_s);
-        self.drops[slot] += self.scratch_r.len() + self.scratch_s.len();
-        self.scratch_r.clear();
-        self.scratch_s.clear();
-
-        obs.mark(Phase::Bookkeeping);
-        self.steps[slot] = t + 1;
+        self.slot_fate(slot)
     }
 }
 

@@ -1,15 +1,14 @@
 //! The lock-step world executor.
 
 use crate::error::SimError;
+use crate::kernel::{self, EventSink, Parts, Scratch};
 use crate::metrics::RunStats;
-use crate::prof::{NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
-use stp_channel::{Channel, CorruptionCommand, DelChannel, DupChannel, EagerScheduler, Scheduler};
-use stp_core::alphabet::{RMsg, SMsg};
+use crate::prof::{NoObs, Phase, PhaseProfiler, ProfObs};
+use std::ops::Range;
+use stp_channel::{Channel, DelChannel, DupChannel, EagerScheduler, Scheduler};
 use stp_core::data::DataSeq;
-use stp_core::event::{
-    CorruptionKind, Event, MsgEvent, MsgId, Probe, ProcessId, Step, Trace, TraceMode,
-};
-use stp_core::proto::{Receiver, ReceiverEvent, Sender, SenderEvent};
+use stp_core::event::{Event, MsgEvent, MsgId, Probe, Step, Trace, TraceMode};
+use stp_core::proto::{Receiver, Sender};
 use stp_core::require;
 use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 
@@ -27,6 +26,19 @@ pub struct World {
     receiver: Box<dyn Receiver>,
     channel: Box<dyn Channel>,
     scheduler: Box<dyn Scheduler>,
+    // The run's input; the trace keeps its own copy for its readers.
+    input: DataSeq,
+    // Aggregate counters, maintained in every trace mode so stats-only
+    // sweeps can skip event recording entirely.
+    counters: RunStats,
+    scratch: Scratch,
+    sink: WorldSink,
+}
+
+// The world's side of the step kernel: the trace, the probes and the
+// per-message provenance state every event is routed through.
+#[derive(Debug)]
+struct WorldSink {
     trace: Trace,
     mode: TraceMode,
     probes: Vec<Box<dyn Probe>>,
@@ -50,28 +62,62 @@ pub struct World {
     // Ids are assigned densely from 0 per run, so `(seed, MsgId)` is
     // stable across pooled resets and re-runs of the same cell.
     next_msg_id: u64,
-    step: Step,
-    written: usize,
     reads_seen: usize,
-    // Aggregate counters, maintained in every trace mode so stats-only
-    // sweeps can skip event recording entirely.
-    sends_s: usize,
-    sends_r: usize,
-    deliveries_r: usize,
-    deliveries_s: usize,
-    drops: usize,
-    write_steps: Vec<Step>,
-    safe: bool,
-    // Scratch buffers for draining channel-initiated expiries once per
-    // step without allocating.
-    expiry_scratch_r: Vec<SMsg>,
-    expiry_scratch_s: Vec<RMsg>,
-    expiry_id_scratch_r: Vec<Option<MsgId>>,
-    expiry_id_scratch_s: Vec<Option<MsgId>>,
-    // Ids the adversary deleted during the current step, kept (under
-    // provenance) to assert that the expiry drain never re-surfaces a copy
-    // already reported dropped in the same step.
-    deleted_ids_step: Vec<MsgId>,
+}
+
+impl EventSink for WorldSink {
+    fn records(&self) -> bool {
+        true
+    }
+
+    fn provenance(&self) -> bool {
+        self.provenance
+    }
+
+    fn tracks_loss(&self) -> bool {
+        self.prov_loss
+    }
+
+    fn record(&mut self, step: Step, event: Event) {
+        // Subscribed probes see every event, in execution order,
+        // regardless of what the trace mode keeps.
+        if self.all_want_events {
+            for p in &mut self.probes {
+                p.on_event(step, &event);
+            }
+        } else {
+            for &i in &self.event_probes {
+                self.probes[i].on_event(step, &event);
+            }
+        }
+        if self.mode.records(&event) {
+            self.trace.record(step, event);
+        }
+    }
+
+    fn msg_event(&mut self, step: Step, event: MsgEvent) {
+        for &i in &self.prov_probes {
+            self.probes[i].on_msg_event(step, &event);
+        }
+    }
+
+    fn next_msg_id(&mut self) -> MsgId {
+        self.next_msg_id += 1;
+        MsgId(self.next_msg_id - 1)
+    }
+
+    fn unseen_reads(&mut self, reads: usize) -> Range<usize> {
+        let unseen = self.reads_seen..reads;
+        self.reads_seen = reads;
+        unseen
+    }
+
+    fn end_step(&mut self, step: Step) {
+        self.trace.set_steps(step + 1);
+        for p in &mut self.probes {
+            p.on_step_end(step);
+        }
+    }
 }
 
 /// Fluent assembly of a [`World`].
@@ -164,30 +210,31 @@ impl WorldBuilder {
             self.scheduler.ok_or_else(|| missing("scheduler"))?,
             self.mode,
         );
-        world.probes = self.probes;
-        world.prov_probes = world
+        let sink = &mut world.sink;
+        sink.probes = self.probes;
+        sink.prov_probes = sink
             .probes
             .iter()
             .enumerate()
             .filter(|(_, p)| p.wants_provenance())
             .map(|(i, _)| i)
             .collect();
-        world.provenance = !world.prov_probes.is_empty();
-        world.event_probes = world
+        sink.provenance = !sink.prov_probes.is_empty();
+        sink.event_probes = sink
             .probes
             .iter()
             .enumerate()
             .filter(|(_, p)| p.wants_events())
             .map(|(i, _)| i)
             .collect();
-        world.all_want_events = world.event_probes.len() == world.probes.len();
+        sink.all_want_events = sink.event_probes.len() == sink.probes.len();
         // Provenance must be switched on before the first send of the run;
         // the flag survives channel resets, so this is a build-time choice.
-        world.channel.set_provenance(world.provenance);
-        world.prov_loss =
-            world.provenance && (world.channel.can_delete() || world.channel.can_expire());
-        for p in &mut world.probes {
-            p.on_run_start(world.trace.input());
+        world.channel.set_provenance(sink.provenance);
+        sink.prov_loss =
+            sink.provenance && (world.channel.can_delete() || world.channel.can_expire());
+        for p in &mut sink.probes {
+            p.on_run_start(&world.input);
         }
         Ok(world)
     }
@@ -220,30 +267,21 @@ impl World {
             receiver,
             channel,
             scheduler,
-            trace: Trace::new(input),
-            mode,
-            probes: Vec::new(),
-            provenance: false,
-            prov_probes: Vec::new(),
-            event_probes: Vec::new(),
-            all_want_events: true,
-            prov_loss: false,
-            next_msg_id: 0,
-            step: 0,
-            written: 0,
-            reads_seen: 0,
-            sends_s: 0,
-            sends_r: 0,
-            deliveries_r: 0,
-            deliveries_s: 0,
-            drops: 0,
-            write_steps: Vec::new(),
-            safe: true,
-            expiry_scratch_r: Vec::new(),
-            expiry_scratch_s: Vec::new(),
-            expiry_id_scratch_r: Vec::new(),
-            expiry_id_scratch_s: Vec::new(),
-            deleted_ids_step: Vec::new(),
+            counters: kernel::counters(input.len()),
+            scratch: Scratch::default(),
+            sink: WorldSink {
+                trace: Trace::new(input.clone()),
+                mode,
+                probes: Vec::new(),
+                provenance: false,
+                prov_probes: Vec::new(),
+                event_probes: Vec::new(),
+                all_want_events: true,
+                prov_loss: false,
+                next_msg_id: 0,
+                reads_seen: 0,
+            },
+            input,
         }
     }
 
@@ -287,61 +325,43 @@ impl World {
         self.receiver.reset();
         self.channel.reset();
         self.scheduler.reset(seed);
-        self.trace.reset(input);
-        self.next_msg_id = 0;
-        self.step = 0;
-        self.written = 0;
-        self.reads_seen = 0;
-        self.sends_s = 0;
-        self.sends_r = 0;
-        self.deliveries_r = 0;
-        self.deliveries_s = 0;
-        self.drops = 0;
-        self.write_steps.clear();
-        self.safe = true;
-        self.expiry_scratch_r.clear();
-        self.expiry_scratch_s.clear();
-        self.expiry_id_scratch_r.clear();
-        self.expiry_id_scratch_s.clear();
-        self.deleted_ids_step.clear();
-        for p in &mut self.probes {
-            p.on_run_start(self.trace.input());
+        // Clone the input only when it changed: sweep grids run many
+        // seeds per sequence.
+        if self.input != *input {
+            self.input = input.clone();
+        }
+        kernel::reset(&mut self.counters, input.len());
+        let sink = &mut self.sink;
+        sink.trace.reset(input);
+        sink.next_msg_id = 0;
+        sink.reads_seen = 0;
+        for p in &mut sink.probes {
+            p.on_run_start(input);
         }
     }
 
     /// The trace-recording mode this world was assembled with.
     pub fn mode(&self) -> TraceMode {
-        self.mode
+        self.sink.mode
     }
 
     /// The current global step (number of steps executed so far).
     pub fn step_count(&self) -> Step {
-        self.step
+        self.counters.steps
     }
 
     /// The trace recorded so far. Under [`TraceMode::WritesOnly`] it holds
     /// only `Write` events; under [`TraceMode::Off`] it holds no events at
     /// all — use [`World::stats`] for the aggregates in those modes.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.sink.trace
     }
 
     /// Aggregate statistics of the run so far, maintained incrementally in
     /// every trace mode. Under [`TraceMode::Full`] this equals
     /// [`RunStats::of`] on the recorded trace.
     pub fn stats(&self) -> RunStats {
-        RunStats {
-            steps: self.step,
-            sends_s: self.sends_s,
-            sends_r: self.sends_r,
-            deliveries_r: self.deliveries_r,
-            deliveries_s: self.deliveries_s,
-            drops: self.drops,
-            written: self.written,
-            input_len: self.trace.input().len(),
-            safe: self.safe,
-            write_steps: self.write_steps.clone(),
-        }
+        self.counters.clone()
     }
 
     /// The channel, for inspection.
@@ -361,7 +381,7 @@ impl World {
 
     /// Number of items written so far.
     pub fn written(&self) -> usize {
-        self.written
+        self.counters.written
     }
 
     /// A hash of the live system state — sender and receiver fingerprints,
@@ -376,7 +396,7 @@ impl World {
         self.sender.fingerprint().hash(&mut h);
         self.receiver.fingerprint().hash(&mut h);
         self.channel.state_key().hash(&mut h);
-        self.written.hash(&mut h);
+        self.counters.written.hash(&mut h);
         h.finish()
     }
 
@@ -390,27 +410,31 @@ impl World {
             self.sender.box_clone(),
             self.receiver.box_clone(),
             self.channel.box_clone(),
-            self.written,
+            self.counters.written,
         )
     }
 
     /// Whether the sender reports completion and the output covers the
     /// whole input.
     pub fn is_complete(&self) -> bool {
-        self.sender.is_done() && self.written >= self.trace.input().len()
+        kernel::is_complete(&*self.sender, &self.counters)
     }
 
     /// The first attached probe of concrete type `P`, if one is attached —
     /// how a harness reads a `MetricsProbe`'s statistics back out of a
     /// pooled world.
     pub fn probe_of<P: Probe + 'static>(&self) -> Option<&P> {
-        self.probes.iter().find_map(|p| p.as_any().downcast_ref())
+        self.sink
+            .probes
+            .iter()
+            .find_map(|p| p.as_any().downcast_ref())
     }
 
     /// Mutable access to the first attached probe of concrete type `P`;
     /// see [`World::probe_of`].
     pub fn probe_of_mut<P: Probe + 'static>(&mut self) -> Option<&mut P> {
-        self.probes
+        self.sink
+            .probes
             .iter_mut()
             .find_map(|p| p.as_any_mut().downcast_mut())
     }
@@ -418,407 +442,28 @@ impl World {
     /// Whether per-message provenance tracking is active for this world
     /// (at least one attached probe asked for it).
     pub fn provenance_enabled(&self) -> bool {
-        self.provenance
-    }
-
-    fn record(&mut self, step: Step, event: Event) {
-        // Subscribed probes see every event, in execution order,
-        // regardless of what the trace mode keeps.
-        if self.all_want_events {
-            for p in &mut self.probes {
-                p.on_event(step, &event);
-            }
-        } else {
-            for &i in &self.event_probes {
-                self.probes[i].on_event(step, &event);
-            }
-        }
-        if self.mode.records(&event) {
-            self.trace.record(step, event);
-        }
-    }
-
-    fn emit_msg(&mut self, step: Step, event: MsgEvent) {
-        for &i in &self.prov_probes {
-            self.probes[i].on_msg_event(step, &event);
-        }
-    }
-
-    /// Applies one step's corruption commands. Scramble/desync strikes
-    /// call the processors' opt-in hooks (a protocol that does not
-    /// implement them absorbs the strike silently); injections forge a
-    /// message onto the channel as if the peer had sent it, with the
-    /// payload reduced modulo the victim's alphabet. Forged copies are
-    /// *not* recorded as `SendS`/`SendR` — that would misattribute them
-    /// to a processor in the local-history projections and double-send
-    /// on replay — but they do get provenance ids so message-lifecycle
-    /// probes can follow them.
-    fn apply_corruptions(&mut self, t: Step, commands: &[CorruptionCommand]) {
-        for cmd in commands {
-            let applied = match cmd.kind {
-                CorruptionKind::ScrambleSender => self.sender.scramble(cmd.draw),
-                CorruptionKind::ScrambleReceiver => self.receiver.scramble(cmd.draw),
-                CorruptionKind::DesyncSender => self.sender.desync(cmd.draw),
-                CorruptionKind::DesyncReceiver => self.receiver.desync(cmd.draw),
-                CorruptionKind::InjectToR => {
-                    let size = self.sender.alphabet().size();
-                    if size == 0 {
-                        false
-                    } else {
-                        let m = SMsg((cmd.draw % u64::from(size)) as u16);
-                        self.channel.send_s(m);
-                        if self.provenance {
-                            let id = MsgId(self.next_msg_id);
-                            self.next_msg_id += 1;
-                            let filed = self.channel.note_send_s(m, id);
-                            self.emit_msg(
-                                t,
-                                MsgEvent::Sent {
-                                    id,
-                                    to: ProcessId::Receiver,
-                                    msg: m.0,
-                                    coalesced_into: (filed != id).then_some(filed),
-                                },
-                            );
-                        }
-                        true
-                    }
-                }
-                CorruptionKind::InjectToS => {
-                    let size = self.receiver.alphabet().size();
-                    if size == 0 {
-                        false
-                    } else {
-                        let m = RMsg((cmd.draw % u64::from(size)) as u16);
-                        self.channel.send_r(m);
-                        if self.provenance {
-                            let id = MsgId(self.next_msg_id);
-                            self.next_msg_id += 1;
-                            let filed = self.channel.note_send_r(m, id);
-                            self.emit_msg(
-                                t,
-                                MsgEvent::Sent {
-                                    id,
-                                    to: ProcessId::Sender,
-                                    msg: m.0,
-                                    coalesced_into: (filed != id).then_some(filed),
-                                },
-                            );
-                        }
-                        true
-                    }
-                }
-            };
-            if applied {
-                self.record(
-                    t,
-                    Event::Corruption {
-                        kind: cmd.kind,
-                        draw: cmd.draw,
-                    },
-                );
-            }
-        }
+        self.sink.provenance
     }
 
     /// Executes one global step.
     pub fn step(&mut self) {
         // The phases are irrelevant under `NoObs` (marks compile away);
         // any pair works.
-        self.step_impl(&mut NoObs, Phase::DeliverPerfect, Phase::ExpirePerfect);
-    }
-
-    // One global step observed through an open profiling window (the
-    // threaded runner drives this directly when profiled).
-    pub(crate) fn step_observed(&mut self, obs: &mut ProfObs, deliver: Phase, expire: Phase) {
-        self.step_impl(obs, deliver, expire);
-    }
-
-    // The single source of truth for the step body. `O = NoObs`
-    // monomorphizes every `obs.mark` to nothing, so the unprofiled
-    // `step()` compiles to the same code as before the profiler existed;
-    // `O = ProfObs` timestamps each phase boundary. `deliver`/`expire`
-    // carry the channel kind so cost splits per kind.
-    fn step_impl<O: StepObs>(&mut self, obs: &mut O, deliver: Phase, expire: Phase) {
-        obs.mark(Phase::SchedulerDecide);
-        let t = self.step;
-        self.scheduler.note_progress(t, self.written);
-        let decision = self.scheduler.decide(t, &*self.channel);
-        if self.prov_loss {
-            self.deleted_ids_step.clear();
-        }
-
-        // Adversarial deletions first (they model in-transit loss).
-        obs.mark(deliver);
-        for i in 0..decision.delete_to_r.len() {
-            let msg = decision.delete_to_r[i];
-            if self.channel.delete_to_r(msg).is_ok() {
-                self.drops += 1;
-                self.record(
-                    t,
-                    Event::ChannelDrop {
-                        to: ProcessId::Receiver,
-                        msg: msg.0,
-                    },
-                );
-                if self.provenance {
-                    let id = self.channel.take_deleted_id_to_r();
-                    self.deleted_ids_step.extend(id);
-                    self.emit_msg(
-                        t,
-                        MsgEvent::Dropped {
-                            id,
-                            to: ProcessId::Receiver,
-                            msg: msg.0,
-                        },
-                    );
-                }
-            }
-        }
-        for i in 0..decision.delete_to_s.len() {
-            let msg = decision.delete_to_s[i];
-            if self.channel.delete_to_s(msg).is_ok() {
-                self.drops += 1;
-                self.record(
-                    t,
-                    Event::ChannelDrop {
-                        to: ProcessId::Sender,
-                        msg: msg.0,
-                    },
-                );
-                if self.provenance {
-                    let id = self.channel.take_deleted_id_to_s();
-                    self.deleted_ids_step.extend(id);
-                    self.emit_msg(
-                        t,
-                        MsgEvent::Dropped {
-                            id,
-                            to: ProcessId::Sender,
-                            msg: msg.0,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Transient corruption strikes land between loss and delivery:
-        // state scrambles and counter desyncs call the processors' opt-in
-        // hooks, injections forge messages onto the channel. A strike is
-        // recorded (as `Event::Corruption`) only when it took effect, so
-        // a scripted replay re-applies exactly the strikes that mattered.
-        if !decision.corruptions.is_empty() {
-            self.apply_corruptions(t, &decision.corruptions);
-        }
-
-        // Deliveries (against the post-deletion state; infeasible choices
-        // are ignored, which keeps adversaries honest without crashing).
-        let delivered_to_s = decision
-            .deliver_to_s
-            .filter(|m| self.channel.deliver_to_s(*m).is_ok());
-        if let Some(m) = delivered_to_s {
-            self.deliveries_s += 1;
-            self.record(t, Event::DeliverToS { msg: m });
-            if self.provenance {
-                let id = self.channel.take_delivered_id_to_s();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Delivered {
-                        id,
-                        to: ProcessId::Sender,
-                        msg: m.0,
-                    },
-                );
-            }
-        }
-        let delivered_to_r = decision
-            .deliver_to_r
-            .filter(|m| self.channel.deliver_to_r(*m).is_ok());
-        if let Some(m) = delivered_to_r {
-            self.deliveries_r += 1;
-            self.record(t, Event::DeliverToR { msg: m });
-            if self.provenance {
-                let id = self.channel.take_delivered_id_to_r();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Delivered {
-                        id,
-                        to: ProcessId::Receiver,
-                        msg: m.0,
-                    },
-                );
-            }
-        }
-
-        // Processor steps.
-        obs.mark(Phase::SenderStep);
-        let s_event = if t == 0 {
-            SenderEvent::Init
-        } else {
-            match delivered_to_s {
-                Some(m) => SenderEvent::Deliver(m),
-                None => SenderEvent::Tick,
-            }
-        };
-        let r_event = if t == 0 {
-            ReceiverEvent::Init
-        } else {
-            match delivered_to_r {
-                Some(m) => ReceiverEvent::Deliver(m),
-                None => ReceiverEvent::Tick,
-            }
-        };
-        let s_out = self.sender.on_event(s_event);
-        obs.mark(Phase::ReceiverStep);
-        let r_out = self.receiver.on_event(r_event);
-
-        // Record tape reads the sender performed during this step.
-        obs.mark(Phase::SenderStep);
-        let reads_now = self.sender.reads();
-        for pos in self.reads_seen..reads_now {
-            if let Some(item) = self.trace.input().get(pos) {
-                self.record(t, Event::Read { item, pos });
-            }
-        }
-        self.reads_seen = reads_now;
-
-        // Apply outputs after deliveries: sends become deliverable next
-        // step at the earliest.
-        obs.mark(Phase::ReceiverStep);
-        for item in r_out.write {
-            // Positions are assigned consecutively, so safety reduces to
-            // "each written item matches the input at its position" —
-            // exactly what `require::check_safety` verifies on full traces.
-            self.safe &= self.trace.input().get(self.written) == Some(item);
-            self.write_steps.push(t);
-            self.record(
-                t,
-                Event::Write {
-                    item,
-                    pos: self.written,
-                },
-            );
-            self.written += 1;
-        }
-        obs.mark(deliver);
-        for m in s_out.send {
-            self.channel.send_s(m);
-            self.sends_s += 1;
-            self.record(t, Event::SendS { msg: m });
-            if self.provenance {
-                let id = MsgId(self.next_msg_id);
-                self.next_msg_id += 1;
-                let filed = self.channel.note_send_s(m, id);
-                self.emit_msg(
-                    t,
-                    MsgEvent::Sent {
-                        id,
-                        to: ProcessId::Receiver,
-                        msg: m.0,
-                        coalesced_into: (filed != id).then_some(filed),
-                    },
-                );
-            }
-        }
-        for m in r_out.send {
-            self.channel.send_r(m);
-            self.sends_r += 1;
-            self.record(t, Event::SendR { msg: m });
-            if self.provenance {
-                let id = MsgId(self.next_msg_id);
-                self.next_msg_id += 1;
-                let filed = self.channel.note_send_r(m, id);
-                self.emit_msg(
-                    t,
-                    MsgEvent::Sent {
-                        id,
-                        to: ProcessId::Sender,
-                        msg: m.0,
-                        coalesced_into: (filed != id).then_some(filed),
-                    },
-                );
-            }
-        }
-
-        // Channel clock (timed channels expire messages here), then the
-        // expiry drain: copies the channel itself destroyed this step are
-        // counted — and evented — exactly like adversarial loss, except as
-        // `ChannelExpire` so replay does not re-inject them.
-        obs.mark(expire);
-        self.channel.tick();
-        self.channel
-            .take_expirations(&mut self.expiry_scratch_r, &mut self.expiry_scratch_s);
-        if self.prov_loss {
-            self.channel
-                .take_expiration_ids(&mut self.expiry_id_scratch_r, &mut self.expiry_id_scratch_s);
-            // A copy the adversary already deleted this step left the
-            // channel then — it must never re-surface through the expiry
-            // drain, or drops would be double-counted.
-            debug_assert!(
-                self.expiry_id_scratch_r
-                    .iter()
-                    .chain(self.expiry_id_scratch_s.iter())
-                    .flatten()
-                    .all(|id| !self.deleted_ids_step.contains(id)),
-                "take_expirations yielded a copy already reported dropped this step"
-            );
-        }
-        for i in 0..self.expiry_scratch_r.len() {
-            let msg = self.expiry_scratch_r[i];
-            self.drops += 1;
-            self.record(
-                t,
-                Event::ChannelExpire {
-                    to: ProcessId::Receiver,
-                    msg: msg.0,
-                },
-            );
-            if self.provenance {
-                let id = self.expiry_id_scratch_r.get(i).copied().flatten();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Expired {
-                        id,
-                        to: ProcessId::Receiver,
-                        msg: msg.0,
-                    },
-                );
-            }
-        }
-        for i in 0..self.expiry_scratch_s.len() {
-            let msg = self.expiry_scratch_s[i];
-            self.drops += 1;
-            self.record(
-                t,
-                Event::ChannelExpire {
-                    to: ProcessId::Sender,
-                    msg: msg.0,
-                },
-            );
-            if self.provenance {
-                let id = self.expiry_id_scratch_s.get(i).copied().flatten();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Expired {
-                        id,
-                        to: ProcessId::Sender,
-                        msg: msg.0,
-                    },
-                );
-            }
-        }
-        self.expiry_scratch_r.clear();
-        self.expiry_scratch_s.clear();
-        self.expiry_id_scratch_r.clear();
-        self.expiry_id_scratch_s.clear();
-
-        obs.mark(Phase::Bookkeeping);
-        self.step += 1;
-        self.trace.set_steps(self.step);
-        obs.mark(Phase::ProbeDispatch);
-        for p in &mut self.probes {
-            p.on_step_end(t);
-        }
-        obs.mark(Phase::Bookkeeping);
+        kernel::step(
+            Parts {
+                sender: &mut *self.sender,
+                receiver: &mut *self.receiver,
+                channel: &mut *self.channel,
+                scheduler: &mut *self.scheduler,
+            },
+            &mut self.counters,
+            &self.input,
+            &mut self.scratch,
+            &mut NoObs,
+            &mut self.sink,
+            Phase::DeliverPerfect,
+            Phase::ExpirePerfect,
+        );
     }
 
     /// Runs exactly `steps` global steps and returns the trace.
@@ -826,7 +471,7 @@ impl World {
         for _ in 0..steps {
             self.step();
         }
-        &self.trace
+        &self.sink.trace
     }
 
     /// Runs until [`World::is_complete`] or `max_steps`, whichever first.
@@ -836,17 +481,17 @@ impl World {
     /// Returns the safety/liveness error if the run ended incomplete or
     /// unsafe (see [`require::check_complete`]).
     pub fn run_to_completion(&mut self, max_steps: Step) -> stp_core::Result<Trace> {
-        while self.step < max_steps && !self.is_complete() {
+        while self.counters.steps < max_steps && !self.is_complete() {
             self.step();
         }
-        require::check_complete(&self.trace)?;
-        Ok(self.trace.clone())
+        require::check_complete(&self.sink.trace)?;
+        Ok(self.sink.trace.clone())
     }
 
     /// Runs until `cond` holds or `max_steps` elapsed; reports whether the
     /// condition was reached.
     pub fn run_until<F: FnMut(&World) -> bool>(&mut self, max_steps: Step, mut cond: F) -> bool {
-        while self.step < max_steps {
+        while self.counters.steps < max_steps {
             if cond(self) {
                 return true;
             }
@@ -870,13 +515,27 @@ impl World {
     ) -> bool {
         let mut obs = ProfObs::begin();
         let reached = loop {
-            if self.step >= max_steps {
+            if self.counters.steps >= max_steps {
                 break cond(self);
             }
             if cond(self) {
                 break true;
             }
-            self.step_impl(&mut obs, deliver, expire);
+            kernel::step(
+                Parts {
+                    sender: &mut *self.sender,
+                    receiver: &mut *self.receiver,
+                    channel: &mut *self.channel,
+                    scheduler: &mut *self.scheduler,
+                },
+                &mut self.counters,
+                &self.input,
+                &mut self.scratch,
+                &mut obs,
+                &mut self.sink,
+                deliver,
+                expire,
+            );
         };
         obs.finish(prof);
         reached
@@ -884,7 +543,7 @@ impl World {
 
     /// Consumes the world and returns the recorded trace.
     pub fn into_trace(self) -> Trace {
-        self.trace
+        self.sink.trace
     }
 }
 
