@@ -64,7 +64,7 @@ use stp_sim::sessions::{
     run_churn_fleet_isolated, run_churn_isolated, run_churn_profiled_isolated, ChurnReport,
     ChurnSpec, ServerSpec, SessionTemplate,
 };
-use stp_sim::{PhaseProfiler, SessionsRecord};
+use stp_sim::{PhaseProfiler, SessionsRecord, TelemetryLine};
 
 /// One shard-count lane of the benchmark.
 #[derive(Debug, Serialize)]
@@ -356,16 +356,16 @@ fn main() {
     if let Err(e) = history::append(Path::new(HISTORY_FILE), &history_record) {
         eprintln!("bench_sessions: cannot append {HISTORY_FILE}: {e}");
     }
-    stp_bench::telemetry::export_profs("bench_sessions", &[prof_record]);
-
-    stp_bench::telemetry::export_sessions("bench_sessions", &records);
-    let mut fleet_records: Vec<_> = snapshot
-        .shards
-        .iter()
-        .map(|s| s.record("bench_sessions"))
-        .collect();
-    fleet_records.push(stats.record("bench_sessions"));
-    stp_bench::telemetry::export_fleet("bench_sessions", &fleet_records);
+    let mut lines = vec![TelemetryLine::Prof(prof_record)];
+    lines.extend(records.iter().cloned().map(TelemetryLine::Sessions));
+    lines.extend(
+        snapshot
+            .shards
+            .iter()
+            .map(|s| TelemetryLine::Fleet(s.record("bench_sessions"))),
+    );
+    lines.push(TelemetryLine::Fleet(stats.record("bench_sessions")));
+    stp_bench::telemetry::export("bench_sessions", &lines);
     // Headline gates, re-checked (with reviewed budgets) by CI's
     // bench_gate step: a million completed sessions in one churn run,
     // 4-way sharding at least 2.5× the single shard on the critical

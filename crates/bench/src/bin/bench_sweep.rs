@@ -25,7 +25,9 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::data::DataSeq;
 use stp_core::event::TraceMode;
 use stp_protocols::{ProtocolFamily, ResendPolicy, TightFamily};
-use stp_sim::{run_family_member, PhaseProfiler, RunStats, StealSweep, SweepEngine, SweepSpec};
+use stp_sim::{
+    run_family_member, PhaseProfiler, RunStats, StealSweep, SweepEngine, SweepSpec, TelemetryLine,
+};
 
 /// Worker widths for the work-stealing scaling lanes.
 const STEAL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -417,7 +419,7 @@ fn main() {
     if let Err(e) = history::append(Path::new(HISTORY_FILE), &record) {
         eprintln!("bench_sweep: cannot append {HISTORY_FILE}: {e}");
     }
-    stp_bench::telemetry::export_profs("bench_sweep", &[prof_record]);
+    stp_bench::telemetry::export("bench_sweep", &[TelemetryLine::Prof(prof_record)]);
 
     // Budget gates: streaming metrics stay within 10% of the bare engine,
     // full causal tracing within 25%, an unarmed fault campaign —

@@ -7,10 +7,7 @@ fn main() {
     let grid = stp_bench::e12::run_stabilization_grid();
     println!("E12b — certified stabilization bounds (d × corruption kind × channel)");
     println!("{}", stp_bench::e12::render_stabilization(&grid));
-    stp_bench::telemetry::export_stabilizations(
-        "e12",
-        &stp_bench::e12::stabilization_records(&grid),
-    );
+    stp_bench::telemetry::export("e12", &stp_bench::e12::stabilization_records(&grid));
     let diverged = fragility.iter().any(|r| !r.reconverged);
     let all_certified = grid.iter().all(|r| r.cert_ok);
     let ok = diverged && all_certified;

@@ -27,7 +27,9 @@ use stp_core::event::TraceMode;
 use stp_prof::CountingAlloc;
 use stp_protocols::{FamilySpec, ResendPolicy, TightFamily};
 use stp_sim::sessions::{run_churn_profiled_isolated, ChurnSpec, ServerSpec, SessionTemplate};
-use stp_sim::{folded, PhaseProfiler, ProfRecord, SweepEngine, SweepSpec, NO_SAMPLES};
+use stp_sim::{
+    folded, PhaseProfiler, ProfRecord, SweepEngine, SweepSpec, TelemetryLine, NO_SAMPLES,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -252,7 +254,13 @@ fn main() -> ExitCode {
         );
     }
 
-    stp_bench::telemetry::export_profs("prof_report", &[grid.clone(), churn.clone()]);
+    stp_bench::telemetry::export(
+        "prof_report",
+        &[
+            TelemetryLine::Prof(grid.clone()),
+            TelemetryLine::Prof(churn.clone()),
+        ],
+    );
 
     let mut failed = false;
     for rec in [&grid, &churn] {

@@ -33,7 +33,7 @@ use stp_sim::fleet::{
     prometheus_text, FleetDelta, FleetRegistry, FleetSnapshot, ShardDelta, WatchdogSpec, NO_SAMPLES,
 };
 use stp_sim::sessions::{run_churn_fleet_profiled, ChurnSpec, ServerSpec, SessionTemplate};
-use stp_sim::{prometheus_prof_text, PhaseProfiler, ProfRecord};
+use stp_sim::{prometheus_prof_text, PhaseProfiler, ProfRecord, TelemetryLine};
 
 struct Args {
     once: bool,
@@ -213,9 +213,9 @@ fn main() {
     // --prometheus page and the {"prof": …} telemetry line.
     let prof = Arc::new(PhaseProfiler::new(PhaseProfiler::DEFAULT_PERIOD));
     let mut telemetry = stp_bench::telemetry::writer();
-    let mut emit = |record: &stp_sim::FleetRecord| {
+    let mut emit = |record: stp_sim::FleetRecord| {
         if let Some(w) = telemetry.as_mut() {
-            if let Err(e) = w.emit_fleet(record) {
+            if let Err(e) = w.emit(&TelemetryLine::Fleet(record)) {
                 eprintln!("sessions_top: fleet telemetry failed: {e}");
             }
         }
@@ -236,7 +236,7 @@ fn main() {
         while !worker.is_finished() {
             std::thread::sleep(args.interval);
             let delta = watch.tick();
-            emit(&delta.snapshot.stats().record("sessions_top"));
+            emit(delta.snapshot.stats().record("sessions_top"));
             // Clear screen + home, then the table — plain ANSI, no TUI
             // dependency.
             print!(
@@ -264,12 +264,12 @@ fn main() {
         report.wall_secs,
     );
     for shard in &snapshot.shards {
-        emit(&shard.record("sessions_top"));
+        emit(shard.record("sessions_top"));
     }
-    emit(&snapshot.stats().record("sessions_top"));
+    emit(snapshot.stats().record("sessions_top"));
     let prof_record = prof.report("sessions_top", "churn");
     if let Some(w) = telemetry.as_mut() {
-        if let Err(e) = w.emit_prof(&prof_record) {
+        if let Err(e) = w.emit(&TelemetryLine::Prof(prof_record.clone())) {
             eprintln!("sessions_top: prof telemetry failed: {e}");
         }
     }
@@ -280,7 +280,7 @@ fn main() {
             .cloned()
             .try_for_each(|mut stall| {
                 stall.experiment = "sessions_top".to_string();
-                w.emit_stall(&stall)
+                w.emit(&TelemetryLine::Stall(stall))
             })
             .and_then(|()| w.flush());
         if let Err(e) = result {

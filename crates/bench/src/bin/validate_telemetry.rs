@@ -8,11 +8,8 @@
 //! Usage: `validate_telemetry <file.jsonl>` (defaults to
 //! `telemetry.jsonl` in the current directory).
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
-use stp_sim::telemetry::{
-    FleetLine, FrontierLine, ProfLine, ReportLine, RunLine, SessionsLine, SpanLine,
-    StabilizationLine, StallLine, SummaryLine, VerdictLine,
-};
 use stp_sim::TelemetryLine;
 
 /// The self-describing kind tag of a JSONL line — its first top-level
@@ -34,27 +31,7 @@ fn claimed_kind(line: &str) -> String {
 }
 
 fn round_trips(line: &TelemetryLine) -> Result<bool, serde_json::Error> {
-    let reserialized = match line {
-        TelemetryLine::Run(r) => serde_json::to_string(&RunLine { run: r.clone() })?,
-        TelemetryLine::Report(r) => serde_json::to_string(&ReportLine {
-            report: r.as_ref().clone(),
-        })?,
-        TelemetryLine::Summary(s) => serde_json::to_string(&SummaryLine { summary: s.clone() })?,
-        TelemetryLine::Span(s) => serde_json::to_string(&SpanLine { span: s.clone() })?,
-        TelemetryLine::Frontier(f) => serde_json::to_string(&FrontierLine {
-            frontier: f.clone(),
-        })?,
-        TelemetryLine::Verdict(v) => serde_json::to_string(&VerdictLine { verdict: v.clone() })?,
-        TelemetryLine::Stabilization(s) => serde_json::to_string(&StabilizationLine {
-            stabilization: s.clone(),
-        })?,
-        TelemetryLine::Sessions(s) => serde_json::to_string(&SessionsLine {
-            sessions: s.clone(),
-        })?,
-        TelemetryLine::Fleet(f) => serde_json::to_string(&FleetLine { fleet: f.clone() })?,
-        TelemetryLine::Stall(s) => serde_json::to_string(&StallLine { stall: s.clone() })?,
-        TelemetryLine::Prof(p) => serde_json::to_string(&ProfLine { prof: p.clone() })?,
-    };
+    let reserialized = serde_json::to_string(line)?;
     Ok(TelemetryLine::parse(&reserialized)? == *line)
 }
 
@@ -69,12 +46,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (mut runs, mut reports, mut summaries) = (0usize, 0usize, 0usize);
-    let (mut spans, mut frontiers, mut verdicts) = (0usize, 0usize, 0usize);
-    let mut stabilizations = 0usize;
-    let mut sessions = 0usize;
-    let (mut fleets, mut stalls) = (0usize, 0usize);
-    let mut profs = 0usize;
+    // Lines per kind; a line that parsed claims exactly its variant's key.
+    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for (no, line) in body.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -107,40 +80,17 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        match parsed {
-            TelemetryLine::Run(_) => runs += 1,
-            TelemetryLine::Report(_) => reports += 1,
-            TelemetryLine::Summary(_) => summaries += 1,
-            TelemetryLine::Span(_) => spans += 1,
-            TelemetryLine::Frontier(_) => frontiers += 1,
-            TelemetryLine::Verdict(_) => verdicts += 1,
-            TelemetryLine::Stabilization(_) => stabilizations += 1,
-            TelemetryLine::Sessions(_) => sessions += 1,
-            TelemetryLine::Fleet(_) => fleets += 1,
-            TelemetryLine::Stall(_) => stalls += 1,
-            TelemetryLine::Prof(_) => profs += 1,
-        }
+        *counts.entry(kind).or_default() += 1;
     }
-    let total = runs
-        + reports
-        + summaries
-        + spans
-        + frontiers
-        + verdicts
-        + stabilizations
-        + sessions
-        + fleets
-        + stalls
-        + profs;
+    let total: usize = counts.values().sum();
     if total == 0 {
         eprintln!("validate_telemetry: {path} contains no telemetry lines");
         return ExitCode::FAILURE;
     }
-    println!(
-        "{path}: {total} lines valid ({runs} runs, {reports} reports, {summaries} summaries, \
-         {spans} spans, {frontiers} frontiers, {verdicts} verdicts, \
-         {stabilizations} stabilizations, {sessions} sessions, {fleets} fleets, {stalls} stalls, \
-         {profs} profs)"
-    );
+    let breakdown: Vec<String> = counts
+        .iter()
+        .map(|(kind, n)| format!("{n} {kind}"))
+        .collect();
+    println!("{path}: {total} lines valid ({})", breakdown.join(", "));
     ExitCode::SUCCESS
 }

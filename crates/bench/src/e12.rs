@@ -22,7 +22,7 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::data::DataSeq;
 use stp_core::event::Step;
 use stp_protocols::{AbpFamily, FamilySpec, ProtocolFamily, ResendPolicy, TightFamily};
-use stp_sim::{probe_stabilization, CampaignJudge, SloConfig, StabilizationRecord};
+use stp_sim::{probe_stabilization, CampaignJudge, SloConfig, StabilizationRecord, TelemetryLine};
 use stp_verify::{check_certificate, stabilization_certificate, Certificate, WitnessKind};
 
 /// One corruption strike against a classical protocol.
@@ -281,9 +281,9 @@ pub fn render_stabilization(rows: &[E12StabilizationRow]) -> String {
     )
 }
 
-/// Flattens the grid rows into telemetry records (`{"stabilization": …}`
-/// lines, one per certified cell).
-pub fn stabilization_records(rows: &[E12StabilizationRow]) -> Vec<StabilizationRecord> {
+/// Flattens the grid rows into telemetry lines (`{"stabilization": …}`,
+/// one per certified cell).
+pub fn stabilization_records(rows: &[E12StabilizationRow]) -> Vec<TelemetryLine> {
     rows.iter()
         .map(|r| StabilizationRecord {
             experiment: "e12".to_string(),
@@ -297,6 +297,7 @@ pub fn stabilization_records(rows: &[E12StabilizationRow]) -> Vec<StabilizationR
             stabilized_at: Some(r.stabilized_at),
             steps_to_stabilize: Some(r.bound),
         })
+        .map(TelemetryLine::Stabilization)
         .collect()
 }
 

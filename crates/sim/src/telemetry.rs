@@ -2,13 +2,13 @@
 //!
 //! Two independent facilities:
 //!
-//! * **Export** — [`TelemetryWriter`] serializes per-run records
-//!   ([`RunRecord`]), per-message lifecycle spans ([`SpanRecord`]),
-//!   knowledge-frontier samples ([`FrontierRecord`]) and sweep-wide
-//!   [`SweepReport`]s as JSON Lines through a pluggable [`Sink`] (file,
-//!   stdout, in-memory). Each line is one self-describing object —
-//!   `{"run": …}`, `{"span": …}`, `{"frontier": …}` or `{"report": …}` —
-//!   so a consumer can dispatch without a schema registry. The writer is
+//! * **Export** — [`TelemetryWriter`] serializes [`TelemetryLine`]s —
+//!   per-run records ([`RunRecord`]), per-message lifecycle spans
+//!   ([`SpanRecord`]), sweep-wide [`SweepReport`]s and the other record
+//!   kinds — as JSON Lines through a pluggable [`Sink`] (file, stdout,
+//!   in-memory). Each line is one self-describing object — `{"run": …}`,
+//!   `{"span": …}`, `{"report": …}` and so on — so a consumer can
+//!   dispatch without a schema registry. The writer is
 //!   opt-in via the `STP_TELEMETRY` environment variable
 //!   ([`TelemetryWriter::from_env`]), which keeps the experiment
 //!   binaries' stdout byte-identical when telemetry is off.
@@ -162,20 +162,6 @@ impl RunRecord {
     }
 }
 
-/// The wire form of a per-run line: `{"run": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunLine {
-    /// The record.
-    pub run: RunRecord,
-}
-
-/// The wire form of an aggregate line: `{"report": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReportLine {
-    /// The sweep-wide aggregation.
-    pub report: SweepReport,
-}
-
 /// A one-line digest of a whole experiment harness — the form every
 /// E-bin emits even when it has no sweep to export (impossibility
 /// certificates, exact-universe analyses, witness shrinking).
@@ -187,13 +173,6 @@ pub struct ExperimentSummary {
     pub rows: usize,
     /// Whether the harness's headline claim held on every row.
     pub ok: bool,
-}
-
-/// The wire form of a digest line: `{"summary": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SummaryLine {
-    /// The digest.
-    pub summary: ExperimentSummary,
 }
 
 /// The wire form of one per-message lifecycle span — the flattened
@@ -234,13 +213,6 @@ pub struct SpanRecord {
     pub fate: String,
 }
 
-/// The wire form of a span line: `{"span": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanLine {
-    /// The span.
-    pub span: SpanRecord,
-}
-
 /// One knowledge-frontier sample: how much each side knows at a step.
 /// The receiver's knowledge is the number of candidate continuations
 /// compatible with what it has seen (`candidates`, the α-style count);
@@ -262,13 +234,6 @@ pub struct FrontierRecord {
     pub candidates: u128,
     /// Items the sender knows the receiver has learned.
     pub s_ack_depth: usize,
-}
-
-/// The wire form of a frontier line: `{"frontier": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FrontierLine {
-    /// The sample.
-    pub frontier: FrontierRecord,
 }
 
 /// One stabilization probe, flattened for export: a corruption strike at
@@ -301,13 +266,6 @@ pub struct StabilizationRecord {
     /// `stabilized_at − fault_end`, when the run reconverged.
     #[serde(default)]
     pub steps_to_stabilize: Option<Step>,
-}
-
-/// The wire form of a stabilization line: `{"stabilization": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StabilizationLine {
-    /// The probe record.
-    pub stabilization: StabilizationRecord,
 }
 
 /// One churn-workload benchmark result, flattened for export: what a
@@ -348,48 +306,15 @@ pub struct SessionsRecord {
     pub p99_latency_rounds: f64,
 }
 
-/// The wire form of a churn-bench line: `{"sessions": {…}}`.
+/// One telemetry line: the single definition of the JSONL wire schema.
+///
+/// Each line is an externally tagged object whose one key is the
+/// lowercased variant name and whose value is the record, e.g.
+/// `{"run": {…}}` or `{"stabilization": {…}}`. Writers
+/// ([`TelemetryWriter::emit`]) and readers ([`TelemetryLine::parse`]) both
+/// derive from this enum, so the two cannot drift apart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionsLine {
-    /// The record.
-    pub sessions: SessionsRecord,
-}
-
-/// The wire form of a conformance-ledger line: `{"verdict": {…}}` — one
-/// grid cell of the certificate gate, carrying the cell's expected and
-/// observed verdicts plus the independent checker's judgement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VerdictLine {
-    /// The ledger record.
-    pub verdict: stp_core::schema::ConformanceVerdict,
-}
-
-/// The wire form of a fleet-snapshot line: `{"fleet": {…}}` — one
-/// per-shard or aggregate sample of the session-server metrics registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetLine {
-    /// The record.
-    pub fleet: FleetRecord,
-}
-
-/// The wire form of a stall-watchdog line: `{"stall": {…}}` — one
-/// flagged session with full replay provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StallLine {
-    /// The record.
-    pub stall: StallRecord,
-}
-
-/// The wire form of a profiler line: `{"prof": {…}}` — one per-phase
-/// cost-attribution report from the phase-scoped profiler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProfLine {
-    /// The record.
-    pub prof: ProfRecord,
-}
-
-/// A parsed telemetry line — what [`TelemetryLine::parse`] dispatches to.
-#[derive(Debug, Clone, PartialEq)]
+#[serde(rename_all = "lowercase")]
 pub enum TelemetryLine {
     /// A per-run record.
     Run(RunRecord),
@@ -421,43 +346,11 @@ impl TelemetryLine {
     ///
     /// # Errors
     ///
-    /// Returns the underlying JSON error when the line is none of the
-    /// `{"run": …}` / `{"span": …}` / `{"frontier": …}` / `{"summary": …}`
-    /// / `{"verdict": …}` / `{"stabilization": …}` / `{"sessions": …}` /
-    /// `{"fleet": …}` / `{"stall": …}` / `{"prof": …}` / `{"report": …}`
-    /// documents.
+    /// Returns the underlying JSON error when the line is not one
+    /// `{"<kind>": {…}}` object of a known kind with a well-formed body;
+    /// the message names the record and field that failed.
     pub fn parse(line: &str) -> Result<TelemetryLine, serde_json::Error> {
-        if let Ok(l) = serde_json::from_str::<RunLine>(line) {
-            return Ok(TelemetryLine::Run(l.run));
-        }
-        if let Ok(l) = serde_json::from_str::<VerdictLine>(line) {
-            return Ok(TelemetryLine::Verdict(l.verdict));
-        }
-        if let Ok(l) = serde_json::from_str::<StabilizationLine>(line) {
-            return Ok(TelemetryLine::Stabilization(l.stabilization));
-        }
-        if let Ok(l) = serde_json::from_str::<SessionsLine>(line) {
-            return Ok(TelemetryLine::Sessions(l.sessions));
-        }
-        if let Ok(l) = serde_json::from_str::<FleetLine>(line) {
-            return Ok(TelemetryLine::Fleet(l.fleet));
-        }
-        if let Ok(l) = serde_json::from_str::<StallLine>(line) {
-            return Ok(TelemetryLine::Stall(l.stall));
-        }
-        if let Ok(l) = serde_json::from_str::<ProfLine>(line) {
-            return Ok(TelemetryLine::Prof(l.prof));
-        }
-        if let Ok(l) = serde_json::from_str::<SpanLine>(line) {
-            return Ok(TelemetryLine::Span(l.span));
-        }
-        if let Ok(l) = serde_json::from_str::<FrontierLine>(line) {
-            return Ok(TelemetryLine::Frontier(l.frontier));
-        }
-        if let Ok(l) = serde_json::from_str::<SummaryLine>(line) {
-            return Ok(TelemetryLine::Summary(l.summary));
-        }
-        serde_json::from_str::<ReportLine>(line).map(|l| TelemetryLine::Report(Box::new(l.report)))
+        serde_json::from_str(line)
     }
 }
 
@@ -497,147 +390,13 @@ impl TelemetryWriter {
         }
     }
 
-    /// Emits one per-run line.
+    /// Emits one line.
     ///
     /// # Errors
     ///
     /// Propagates serialization or sink I/O errors.
-    pub fn emit_run(&mut self, record: &RunRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&RunLine {
-            run: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one aggregate line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_report(&mut self, report: &SweepReport) -> io::Result<()> {
-        let line = serde_json::to_string(&ReportLine {
-            report: report.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one experiment digest line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_summary(&mut self, summary: &ExperimentSummary) -> io::Result<()> {
-        let line = serde_json::to_string(&SummaryLine {
-            summary: summary.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one message-lifecycle span line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_span(&mut self, span: &SpanRecord) -> io::Result<()> {
-        let line =
-            serde_json::to_string(&SpanLine { span: span.clone() }).map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one conformance-ledger verdict line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_verdict(
-        &mut self,
-        verdict: &stp_core::schema::ConformanceVerdict,
-    ) -> io::Result<()> {
-        let line = serde_json::to_string(&VerdictLine {
-            verdict: verdict.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one stabilization-probe line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_stabilization(&mut self, record: &StabilizationRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&StabilizationLine {
-            stabilization: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one churn-bench line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_sessions(&mut self, record: &SessionsRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&SessionsLine {
-            sessions: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one fleet-metrics snapshot line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_fleet(&mut self, record: &FleetRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&FleetLine {
-            fleet: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one stall-watchdog line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_stall(&mut self, record: &StallRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&StallLine {
-            stall: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one profiler cost-attribution line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_prof(&mut self, record: &ProfRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&ProfLine {
-            prof: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one knowledge-frontier sample line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_frontier(&mut self, frontier: &FrontierRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&FrontierLine {
-            frontier: frontier.clone(),
-        })
-        .map_err(io::Error::other)?;
+    pub fn emit(&mut self, line: &TelemetryLine) -> io::Result<()> {
+        let line = serde_json::to_string(line).map_err(io::Error::other)?;
         self.sink.write_line(&line)
     }
 
@@ -649,9 +408,9 @@ impl TelemetryWriter {
     /// Propagates serialization or sink I/O errors.
     pub fn export_outcome(&mut self, experiment: &str, outcome: &SweepOutcome) -> io::Result<()> {
         for run in &outcome.runs {
-            self.emit_run(&RunRecord::of(experiment, run))?;
+            self.emit(&TelemetryLine::Run(RunRecord::of(experiment, run)))?;
         }
-        self.emit_report(&outcome.report)?;
+        self.emit(&TelemetryLine::Report(Box::new(outcome.report.clone())))?;
         self.flush()
     }
 
@@ -981,7 +740,7 @@ mod tests {
         let rec = RunRecord::of("e1", &member(3));
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_run(&rec).unwrap();
+        w.emit(&TelemetryLine::Run(rec.clone())).unwrap();
         w.flush().unwrap();
         let lines = sink.lines();
         assert_eq!(lines.len(), 1);
@@ -997,7 +756,8 @@ mod tests {
         report.observe(&stats(10, 2));
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_report(&report).unwrap();
+        w.emit(&TelemetryLine::Report(Box::new(report.clone())))
+            .unwrap();
         match TelemetryLine::parse(&sink.lines()[0]).unwrap() {
             TelemetryLine::Report(back) => assert_eq!(*back, report),
             other => panic!("expected a report line, got {other:?}"),
@@ -1033,7 +793,7 @@ mod tests {
         };
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_summary(&summary).unwrap();
+        w.emit(&TelemetryLine::Summary(summary.clone())).unwrap();
         match TelemetryLine::parse(&sink.lines()[0]).unwrap() {
             TelemetryLine::Summary(back) => assert_eq!(back, summary),
             other => panic!("expected a summary line, got {other:?}"),
@@ -1057,7 +817,7 @@ mod tests {
         };
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_span(&rec).unwrap();
+        w.emit(&TelemetryLine::Span(rec.clone())).unwrap();
         let line = &sink.lines()[0];
         assert!(line.contains("\"span\""), "{line}");
         match TelemetryLine::parse(line).unwrap() {
@@ -1079,7 +839,7 @@ mod tests {
         };
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_frontier(&rec).unwrap();
+        w.emit(&TelemetryLine::Frontier(rec.clone())).unwrap();
         let line = &sink.lines()[0];
         assert!(line.contains("\"frontier\""), "{line}");
         match TelemetryLine::parse(line).unwrap() {
@@ -1105,7 +865,7 @@ mod tests {
         };
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_verdict(&rec).unwrap();
+        w.emit(&TelemetryLine::Verdict(rec.clone())).unwrap();
         let line = &sink.lines()[0];
         assert!(line.contains("\"verdict\""), "{line}");
         match TelemetryLine::parse(line).unwrap() {
@@ -1130,7 +890,7 @@ mod tests {
         };
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_stabilization(&rec).unwrap();
+        w.emit(&TelemetryLine::Stabilization(rec.clone())).unwrap();
         let line = &sink.lines()[0];
         assert!(line.contains("\"stabilization\""), "{line}");
         match TelemetryLine::parse(line).unwrap() {
@@ -1143,7 +903,8 @@ mod tests {
             steps_to_stabilize: None,
             ..rec
         };
-        w.emit_stabilization(&divergent).unwrap();
+        w.emit(&TelemetryLine::Stabilization(divergent.clone()))
+            .unwrap();
         match TelemetryLine::parse(&sink.lines()[1]).unwrap() {
             TelemetryLine::Stabilization(back) => assert_eq!(back, divergent),
             other => panic!("expected a stabilization line, got {other:?}"),
@@ -1168,7 +929,7 @@ mod tests {
         };
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_sessions(&rec).unwrap();
+        w.emit(&TelemetryLine::Sessions(rec.clone())).unwrap();
         let line = &sink.lines()[0];
         assert!(line.contains("\"sessions\""), "{line}");
         match TelemetryLine::parse(line).unwrap() {
@@ -1185,7 +946,7 @@ mod tests {
 
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_prof(&rec).unwrap();
+        w.emit(&TelemetryLine::Prof(rec.clone())).unwrap();
         let line = &sink.lines()[0];
         assert!(line.contains("\"prof\""), "{line}");
         match TelemetryLine::parse(line).unwrap() {
@@ -1205,9 +966,11 @@ mod tests {
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
         for shard in &snap.shards {
-            w.emit_fleet(&shard.record("sessions_top")).unwrap();
+            w.emit(&TelemetryLine::Fleet(shard.record("sessions_top")))
+                .unwrap();
         }
-        w.emit_fleet(&snap.stats().record("sessions_top")).unwrap();
+        w.emit(&TelemetryLine::Fleet(snap.stats().record("sessions_top")))
+            .unwrap();
 
         let stall = StallRecord {
             experiment: "sessions_top".to_string(),
@@ -1231,7 +994,7 @@ mod tests {
                 ttl_rounds: None,
             },
         };
-        w.emit_stall(&stall).unwrap();
+        w.emit(&TelemetryLine::Stall(stall.clone())).unwrap();
 
         let lines = sink.lines();
         assert_eq!(lines.len(), 4);
@@ -1310,6 +1073,21 @@ mod tests {
     }
 
     #[test]
+    fn parse_errors_name_the_claimed_record() {
+        let err = TelemetryLine::parse(r#"{"run": {"seed": "x"}}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("RunRecord"), "{err}");
+        assert!(!err.contains("SweepReport"), "{err}");
+        // A complete run body with one bad field names that field.
+        let mut line =
+            serde_json::to_string(&TelemetryLine::Run(RunRecord::of("e1", &member(3)))).unwrap();
+        line = line.replace("\"seed\":3", "\"seed\":\"x\"");
+        let err = TelemetryLine::parse(&line).unwrap_err().to_string();
+        assert!(err.contains("RunRecord.seed"), "{err}");
+    }
+
+    #[test]
     fn file_sink_appends_across_writers() {
         let dir = std::env::temp_dir().join(format!("stp-telemetry-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1317,7 +1095,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         for seed in 0..2 {
             let mut w = TelemetryWriter::new(Box::new(FileSink::open(&path).unwrap()));
-            w.emit_run(&RunRecord::of("e1", &member(seed))).unwrap();
+            w.emit(&TelemetryLine::Run(RunRecord::of("e1", &member(seed))))
+                .unwrap();
             w.flush().unwrap();
         }
         let body = std::fs::read_to_string(&path).unwrap();

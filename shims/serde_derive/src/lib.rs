@@ -9,6 +9,12 @@
 //! * tuple structs (including newtypes),
 //! * enums whose variants are unit, newtype/tuple, or struct-like.
 //!
+//! Attributes honoured: the field attribute `#[serde(default)]` /
+//! `#[serde(default = "path")]`, and the container attribute
+//! `#[serde(rename_all = "lowercase")]`, which — as in real serde —
+//! lowercases enum variant names on the wire in both directions and leaves
+//! field names alone. Any other `rename_all` rule is a compile error.
+//!
 //! Generics are intentionally unsupported (no workspace type needs them);
 //! hitting that limit is a compile error rather than silent misbehaviour.
 
@@ -52,6 +58,8 @@ enum VariantKind {
 #[derive(Debug)]
 struct Variant {
     name: String,
+    /// The variant's name on the wire (after `rename_all`).
+    tag: String,
     kind: VariantKind,
 }
 
@@ -113,12 +121,13 @@ fn strip_prefix(tokens: &[TokenTree]) -> &[TokenTree] {
     &tokens[i..]
 }
 
-/// The `#[serde(default)]` / `#[serde(default = "path")]` attribute of an
-/// (un-stripped) field segment, if present — possibly alongside other
-/// serde arguments, which the shim ignores. See [`Field::default`] for
-/// the encoding.
-fn serde_default(segment: &[TokenTree]) -> Option<Option<String>> {
-    for w in segment.windows(2) {
+/// The comma-separated arguments of every `#[serde(...)]` attribute among
+/// `tokens`. Attributes inside nested groups (a struct body) are not
+/// visited, so on a whole item this yields the container's arguments and
+/// on a field segment the field's.
+fn serde_args(tokens: &[TokenTree]) -> Vec<Vec<TokenTree>> {
+    let mut out = Vec::new();
+    for w in tokens.windows(2) {
         if !matches!(&w[0], TokenTree::Punct(p) if p.as_char() == '#') {
             continue;
         }
@@ -126,32 +135,64 @@ fn serde_default(segment: &[TokenTree]) -> Option<Option<String>> {
             continue;
         };
         let toks: Vec<TokenTree> = attr.stream().into_iter().collect();
-        if !matches!(toks.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
+        if !is_ident(toks.first(), "serde") {
             continue;
         }
-        let Some(TokenTree::Group(args)) = toks.get(1) else {
+        if let Some(TokenTree::Group(args)) = toks.get(1) {
+            out.extend(split_commas(&args.stream().into_iter().collect::<Vec<_>>()));
+        }
+    }
+    out
+}
+
+fn is_ident(tok: Option<&TokenTree>, name: &str) -> bool {
+    matches!(tok, Some(TokenTree::Ident(id)) if id.to_string() == name)
+}
+
+/// The `#[serde(default)]` / `#[serde(default = "path")]` attribute of an
+/// (un-stripped) field segment, if present — possibly alongside other
+/// serde arguments, which the shim ignores. See [`Field::default`] for
+/// the encoding.
+fn serde_default(segment: &[TokenTree]) -> Option<Option<String>> {
+    for arg in serde_args(segment) {
+        if !is_ident(arg.first(), "default") {
             continue;
-        };
-        for arg in split_commas(&args.stream().into_iter().collect::<Vec<_>>()) {
-            if !matches!(arg.first(), Some(TokenTree::Ident(id)) if id.to_string() == "default") {
-                continue;
-            }
-            match arg.len() {
-                // `default`
-                1 => return Some(None),
-                // `default = "path"`
-                3 if matches!(&arg[1], TokenTree::Punct(p) if p.as_char() == '=') => {
-                    if let TokenTree::Literal(lit) = &arg[2] {
-                        let path = lit.to_string();
-                        let path = path.trim_matches('"').to_string();
-                        return Some(Some(path));
-                    }
+        }
+        match arg.len() {
+            // `default`
+            1 => return Some(None),
+            // `default = "path"`
+            3 if matches!(&arg[1], TokenTree::Punct(p) if p.as_char() == '=') => {
+                if let TokenTree::Literal(lit) = &arg[2] {
+                    let path = lit.to_string();
+                    let path = path.trim_matches('"').to_string();
+                    return Some(Some(path));
                 }
-                _ => {}
             }
+            _ => {}
         }
     }
     None
+}
+
+/// Whether the item carries `#[serde(rename_all = "lowercase")]`. Any
+/// other `rename_all` form is an error rather than silently ignored.
+fn rename_all_lowercase(item: &[TokenTree]) -> Result<bool, String> {
+    let mut lowercase = false;
+    for arg in serde_args(item) {
+        if !is_ident(arg.first(), "rename_all") {
+            continue;
+        }
+        match arg.as_slice() {
+            [_, TokenTree::Punct(eq), TokenTree::Literal(rule)]
+                if eq.as_char() == '=' && rule.to_string() == "\"lowercase\"" =>
+            {
+                lowercase = true;
+            }
+            _ => return Err("shim serde_derive supports only rename_all = \"lowercase\"".into()),
+        }
+    }
+    Ok(lowercase)
 }
 
 /// The first identifier of a (stripped) field segment, i.e. the field name.
@@ -175,7 +216,7 @@ fn parse_named_fields(group_tokens: &[TokenTree]) -> Vec<Field> {
         .collect()
 }
 
-fn parse_variant(segment: &[TokenTree]) -> Option<Variant> {
+fn parse_variant(segment: &[TokenTree], lowercase: bool) -> Option<Variant> {
     let segment = strip_prefix(segment);
     let name = match segment.first() {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -192,11 +233,17 @@ fn parse_variant(segment: &[TokenTree]) -> Option<Variant> {
         }
         _ => VariantKind::Unit,
     };
-    Some(Variant { name, kind })
+    let tag = if lowercase {
+        name.to_ascii_lowercase()
+    } else {
+        name.clone()
+    };
+    Some(Variant { name, tag, kind })
 }
 
 fn parse_shape(input: TokenStream) -> Result<Shape, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
+    let lowercase = rename_all_lowercase(&tokens)?;
     let rest = strip_prefix(&tokens);
     let mut it = rest.iter();
     let kw = loop {
@@ -243,7 +290,7 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
             let toks: Vec<TokenTree> = g.stream().into_iter().collect();
             let variants = split_commas(&toks)
                 .iter()
-                .filter_map(|seg| parse_variant(seg))
+                .filter_map(|seg| parse_variant(seg, lowercase))
                 .collect();
             Ok(Shape::Enum { name, variants })
         }
@@ -251,26 +298,26 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
     }
 }
 
-fn field_lookup(field: &Field, source: &str) -> String {
+/// The expression rebuilding `field` from the `(key, value)` list
+/// `source`. A failure is prefixed with `owner.field`, so an error deep in
+/// a document says which record and field it came from.
+fn field_lookup(field: &Field, source: &str, owner: &str) -> String {
     let name = &field.name;
-    match &field.default {
-        Some(fallback) => {
-            let absent = match fallback {
-                Some(path) => format!("{path}()"),
-                None => "::std::default::Default::default()".to_string(),
-            };
-            format!(
-                "match {source}.iter().find(|(k, _)| k == \"{name}\") {{\
-                     Some((_, v)) => ::serde::Deserialize::from_content(v)?,\
-                     None => {absent},\
-                 }}"
-            )
-        }
-        None => format!(
-            "::serde::Deserialize::from_content({source}.iter().find(|(k, _)| k == \"{name}\")\
-             .map(|(_, v)| v).unwrap_or(&::serde::Content::Null))?"
-        ),
-    }
+    let parse = format!(
+        "::serde::Deserialize::from_content(v).map_err(|e| \
+         ::serde::DeError(format!(\"{owner}.{name}: {{}}\", e.0)))?"
+    );
+    let absent = match &field.default {
+        Some(Some(path)) => format!("{path}()"),
+        Some(None) => "::std::default::Default::default()".to_string(),
+        None => format!("{{ let v = &::serde::Content::Null; {parse} }}"),
+    };
+    format!(
+        "match {source}.iter().find(|(k, _)| k == \"{name}\") {{\
+             Some((_, v)) => {parse},\
+             None => {absent},\
+         }}"
+    )
 }
 
 fn emit_serialize(shape: &Shape) -> String {
@@ -313,14 +360,14 @@ fn emit_serialize(shape: &Shape) -> String {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
-                    let vname = &v.name;
+                    let (vname, tag) = (&v.name, &v.tag);
                     match &v.kind {
                         VariantKind::Unit => format!(
-                            "{name}::{vname} => ::serde::Content::Str(\"{vname}\".to_string()),"
+                            "{name}::{vname} => ::serde::Content::Str(\"{tag}\".to_string()),"
                         ),
                         VariantKind::Tuple(1) => format!(
                             "{name}::{vname}(x0) => ::serde::Content::Map(vec![(\
-                             \"{vname}\".to_string(), ::serde::Serialize::to_content(x0))]),"
+                             \"{tag}\".to_string(), ::serde::Serialize::to_content(x0))]),"
                         ),
                         VariantKind::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
@@ -330,7 +377,7 @@ fn emit_serialize(shape: &Shape) -> String {
                                 .collect();
                             format!(
                                 "{name}::{vname}({}) => ::serde::Content::Map(vec![(\
-                                 \"{vname}\".to_string(), ::serde::Content::Seq(vec![{}]))]),",
+                                 \"{tag}\".to_string(), ::serde::Content::Seq(vec![{}]))]),",
                                 binds.join(", "),
                                 items.join(", ")
                             )
@@ -352,7 +399,7 @@ fn emit_serialize(shape: &Shape) -> String {
                                 .collect();
                             format!(
                                 "{name}::{vname} {{ {binds} }} => ::serde::Content::Map(vec![(\
-                                 \"{vname}\".to_string(), ::serde::Content::Map(vec![{}]))]),",
+                                 \"{tag}\".to_string(), ::serde::Content::Map(vec![{}]))]),",
                                 entries.join(", ")
                             )
                         }
@@ -376,7 +423,7 @@ fn emit_deserialize(shape: &Shape) -> String {
         Shape::NamedStruct { name, fields } => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| format!("{}: {},", f.name, field_lookup(f, "entries")))
+                .map(|f| format!("{}: {},", f.name, field_lookup(f, "entries", name)))
                 .collect();
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
@@ -422,16 +469,16 @@ fn emit_deserialize(shape: &Shape) -> String {
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
+                .map(|v| format!("\"{}\" => Ok({name}::{}),", v.tag, v.name))
                 .collect();
             let data_arms: Vec<String> = variants
                 .iter()
                 .filter_map(|v| {
-                    let vname = &v.name;
+                    let (vname, tag) = (&v.name, &v.tag);
                     match &v.kind {
                         VariantKind::Unit => None,
                         VariantKind::Tuple(1) => Some(format!(
-                            "\"{vname}\" => Ok({name}::{vname}(\
+                            "\"{tag}\" => Ok({name}::{vname}(\
                              ::serde::Deserialize::from_content(v)?)),"
                         )),
                         VariantKind::Tuple(n) => {
@@ -441,7 +488,7 @@ fn emit_deserialize(shape: &Shape) -> String {
                                 })
                                 .collect();
                             Some(format!(
-                                "\"{vname}\" => match v {{\n\
+                                "\"{tag}\" => match v {{\n\
                                      ::serde::Content::Seq(items) if items.len() == {n} => \
                                          Ok({name}::{vname}({})),\n\
                                      other => Err(::serde::DeError(format!(\n\
@@ -454,10 +501,16 @@ fn emit_deserialize(shape: &Shape) -> String {
                         VariantKind::Named(fields) => {
                             let inits: Vec<String> = fields
                                 .iter()
-                                .map(|f| format!("{}: {},", f.name, field_lookup(f, "fields")))
+                                .map(|f| {
+                                    format!(
+                                        "{}: {},",
+                                        f.name,
+                                        field_lookup(f, "fields", &format!("{name}::{vname}"))
+                                    )
+                                })
                                 .collect();
                             Some(format!(
-                                "\"{vname}\" => match v {{\n\
+                                "\"{tag}\" => match v {{\n\
                                      ::serde::Content::Map(fields) => \
                                          Ok({name}::{vname} {{ {} }}),\n\
                                      other => Err(::serde::DeError(format!(\n\
@@ -504,7 +557,7 @@ fn run(input: TokenStream, emit: fn(&Shape) -> String) -> TokenStream {
         Ok(shape) => emit(&shape)
             .parse()
             .expect("shim serde_derive generated invalid Rust"),
-        Err(msg) => format!("compile_error!(\"{msg}\");").parse().unwrap(),
+        Err(msg) => format!("compile_error!({msg:?});").parse().unwrap(),
     }
 }
 

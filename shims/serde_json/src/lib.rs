@@ -108,16 +108,25 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
     Ok(out)
 }
 
+/// How deeply arrays and objects may nest, as in real `serde_json`. The
+/// parser recurses once per level, so without a bound a document of a
+/// million `[` would overflow the stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -176,15 +185,12 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| Error("bad \\u escape".into()))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| Error("bad \\u escape".into()))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| Error("bad \\u code point".into()))?,
@@ -198,12 +204,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary of `src`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
                 None => return Err(Error("unterminated string".into())),
             }
@@ -222,9 +229,75 @@ impl<'a> Parser<'a> {
         if start == self.pos {
             return Err(Error(format!("expected number at byte {start}")));
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .to_string())
+        Ok(self.src[start..self.pos].to_string())
+    }
+
+    fn parse_array(&mut self) -> Result<Content> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Content::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Content::Seq(items));
+                }
+                other => {
+                    return Err(Error(format!("bad array token {other:?}")));
+                }
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Content> {
+        self.pos += 1;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Content::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Content::Map(entries));
+                }
+                other => {
+                    return Err(Error(format!("bad object token {other:?}")));
+                }
+            }
+        }
+    }
+
+    /// Runs `container` (an array or object parser) one nesting level
+    /// deeper, failing instead past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let parsed = container(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn parse_value(&mut self) -> Result<Content> {
@@ -234,57 +307,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Content::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Content::Bool(false)),
             Some(b'"') => Ok(Content::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Content::Seq(items));
-                        }
-                        other => {
-                            return Err(Error(format!("bad array token {other:?}")));
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Content::Map(entries));
-                        }
-                        other => {
-                            return Err(Error(format!("bad object token {other:?}")));
-                        }
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             _ => Ok(Content::Num(self.parse_number()?)),
         }
     }
@@ -328,5 +352,62 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         assert!(from_str::<u64>("42 x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_depth_limit() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Parser::new(&nest(MAX_DEPTH)).parse_value().is_ok());
+        assert!(Parser::new(&nest(MAX_DEPTH + 1)).parse_value().is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Parser::new(&objects).parse_value().is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str::<u64>(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn multibyte_text_and_escapes_round_trip() {
+        // 2-, 3- and 4-byte UTF-8 next to every escape the writer emits.
+        let text = "é\"ü\\€\n\t中\r\u{1}😀\u{1f}ß/𝄞 end".to_string();
+        let json = to_string(&text).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), text);
+        let escaped = "\"\\u00e9\\u20AC\\/\\b\\f\"";
+        assert_eq!(from_str::<String>(escaped).unwrap(), "é€/\u{8}\u{c}");
+    }
+
+    #[test]
+    fn rename_all_lowercase_renames_variants_both_ways() {
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        #[serde(rename_all = "lowercase")]
+        enum Kind {
+            Unit,
+            NewType(u8),
+            Pair(u8, u8),
+            Named { field_a: u8 },
+        }
+        let cases = [
+            (Kind::Unit, r#""unit""#),
+            (Kind::NewType(1), r#"{"newtype":1}"#),
+            (Kind::Pair(1, 2), r#"{"pair":[1,2]}"#),
+            (Kind::Named { field_a: 3 }, r#"{"named":{"field_a":3}}"#),
+        ];
+        for (value, json) in cases {
+            assert_eq!(to_string(&value).unwrap(), json);
+            assert_eq!(from_str::<Kind>(json).unwrap(), value);
+        }
+        assert!(from_str::<Kind>(r#"{"NewType":1}"#).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        assert!(from_str::<String>("\"\\u+041\"").is_err());
+        assert!(from_str::<String>("\"\\u04 1\"").is_err());
+        assert!(from_str::<String>("\"\\u04\"").is_err());
+        assert!(from_str::<String>("\"\\u00e").is_err());
+        assert_eq!(from_str::<String>("\"\\u0041\"").unwrap(), "A");
     }
 }
